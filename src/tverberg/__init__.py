@@ -32,6 +32,7 @@ from .geometry import (
     Ball,
     DegenerateInputError,
     GeneralPositionReport,
+    InternalError,
     Lens,
     Membership,
     PerturbationError,

@@ -2,7 +2,8 @@
 
 Subcommands: solve, verify, enumerate, partition, lens-check, gen, render,
 check-gp, bench.  Exit codes: 0 success, 1 negative verification, 2 usage
-errors.  Result documents are JSON with a fixed key order.
+errors, 3 internal errors (a solver or oracle step the package guarantees
+failed).  Result documents are JSON with a fixed key order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cycles import GeoGraph
-from .geometry import PointSet, check_general_position
+from .geometry import InternalError, PointSet, ball_depths, check_general_position, edge_balls
 from .oracle import (
     _hamiltonian_sequences,
     enumerate_hamiltonian,
@@ -62,14 +63,7 @@ def _digest(points: PointSet) -> str:
 
 
 def _result_document(points: PointSet, result: SolveResult, tol: float) -> dict:
-    P = result.points.coords
-    margins = []
-    for a, b in result.graph.edges:
-        center = (P[a] + P[b]) / 2.0
-        radius = float(np.linalg.norm(P[b] - P[a])) / 2.0
-        margins.append(
-            {"edge": [a, b], "margin": radius - float(np.linalg.norm(result.witness - center))}
-        )
+    depths = ball_depths(*edge_balls(result.points.coords, result.graph.edges), result.witness)
     return {
         "tool": "tverberg",
         "version": __version__,
@@ -80,7 +74,9 @@ def _result_document(points: PointSet, result: SolveResult, tol: float) -> dict:
         "certificate": [
             {"edge": [a, b], "angle": ang} for (a, b), ang in result.certificate
         ],
-        "margins": margins,
+        "margins": [
+            {"edge": [a, b], "margin": float(d)} for (a, b), d in zip(result.graph.edges, depths)
+        ],
         "stats": {
             "iterations": result.iterations,
             "restarts": result.restarts,
@@ -93,12 +89,7 @@ def _result_document(points: PointSet, result: SolveResult, tol: float) -> dict:
 
 def _cmd_solve(args) -> int:
     points = _read_points(args.file)
-    config = SolverConfig(
-        tol=args.tol,
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        jobs=args.jobs,
-    )
+    config = SolverConfig(tol=args.tol, max_iters=args.max_iters, restarts=args.restarts)
     result = solve(points, seed=args.seed, config=config)
     doc = _result_document(points, result, args.tol)
     print(json.dumps(doc, indent=2))
@@ -300,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--render", metavar="OUT.svg", help="also render the result")
     add_tol(p)
     p.set_defaults(func=_cmd_solve)
@@ -375,6 +365,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except (PointParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

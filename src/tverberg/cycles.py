@@ -20,12 +20,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, RIGHT_ANGLE, PointSet, _as_point
+from .geometry import DEFAULT_TOL, RIGHT_ANGLE, InternalError, PointSet, _as_point
 
 TWO_PI = 2.0 * math.pi
 
 # Closed-arc containment grace for direction tests; far below any geometric
-# tolerance, only to absorb atan2 rounding at arc endpoints.
+# tolerance, only to absorb rounding at arc endpoints.
 _ARC_EPS = 1e-12
 
 
@@ -37,8 +37,13 @@ class RepresentativeDegeneracyError(ValueError):
     """The representative direction coincides with a projected point."""
 
 
-class BrokenCycleError(RuntimeError):
+class BrokenCycleError(InternalError):
     """A constructed edge set is not a single Hamiltonian cycle."""
+
+
+class ShortArcStructureError(InternalError):
+    """The short arcs of a violation profile break a structural fact of the
+    odd-set proof (a short arc spanning too few labels, or two disjoint)."""
 
 
 @dataclass(frozen=True)
@@ -111,24 +116,22 @@ class CycleKind(Enum):
 class RadialOrder:
     """Clockwise labeling of S around a center.
 
-    ``labels[k]`` is the point index occupying clockwise slot k and
-    ``directions[k]`` its unit direction from the center.  When the center is
-    a point of S, its own index sits in the last slot with the representative
-    direction standing in for its (undefined) projection.
+    ``labels[k]`` is the point index occupying clockwise slot k,
+    ``directions[k]`` its unit direction from the center and ``angles[k]``
+    that direction's atan2 angle.  When the center is a point of S, its own
+    index sits in the last slot with the representative direction standing
+    in for its (undefined) projection.
     """
 
     center: np.ndarray
     labels: tuple[int, ...]
     directions: np.ndarray
+    angles: np.ndarray
     representative_dir: Optional[np.ndarray] = None
     center_index: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-def _angles_of(vectors: np.ndarray) -> np.ndarray:
-    return np.arctan2(vectors[:, 1], vectors[:, 0])
 
 
 def _unit(v) -> np.ndarray:
@@ -161,51 +164,50 @@ def radial_order(
     if center_index is not None and rep_dir is None:
         raise ValueError("center is a point of S: a representative direction is required")
 
-    others = [i for i in range(len(points)) if i != center_index]
-    vecs = points.coords[others] - p
+    labels = np.arange(len(points))
+    if center_index is not None:
+        labels = np.delete(labels, center_index)
+    vecs = points.coords[labels] - p
     norms = np.linalg.norm(vecs, axis=1)
     if np.any(norms == 0.0):
         raise RadialDegeneracyError("a point of S coincides with the center")
     dirs = vecs / norms[:, None]
-    angles = _angles_of(dirs)
-
-    idx = list(range(len(others)))
-    entries = [(float(angles[k]), others[k], dirs[k]) for k in idx]
     syn_dir = None
     if center_index is not None:
         syn_dir = _unit(rep_dir)
-        syn_angle = math.atan2(syn_dir[1], syn_dir[0])
-        entries.append((float(syn_angle), center_index, syn_dir))
+        labels = np.append(labels, center_index)
+        dirs = np.vstack([dirs, syn_dir])
+    angles = np.arctan2(dirs[:, 1], dirs[:, 0])
 
-    entries.sort(key=lambda e: -e[0])
-    thetas = [e[0] for e in entries]
-    mm = len(entries)
-    for k in range(mm if mm >= 2 else 0):
-        gap = thetas[k] - thetas[(k + 1) % mm]
-        if k == mm - 1:
-            gap += TWO_PI
-        if abs(gap) <= tol:
-            a, b = entries[k][1], entries[(k + 1) % mm][1]
-            if center_index is not None and center_index in (a, b):
-                raise RepresentativeDegeneracyError(
-                    f"representative direction coincides with the projection of point "
-                    f"{b if a == center_index else a}"
-                )
-            raise RadialDegeneracyError(
-                f"points {a} and {b} project to the same direction around the center"
+    slots = np.argsort(-angles, kind="stable")
+    gaps = angles[slots] - angles[np.roll(slots, -1)]
+    gaps[-1] += TWO_PI
+    tied = np.flatnonzero(np.abs(gaps) <= tol)
+    if tied.size:
+        k = tied[0]
+        a, b = int(labels[slots[k]]), int(labels[slots[(k + 1) % len(slots)]])
+        if center_index is not None and center_index in (a, b):
+            raise RepresentativeDegeneracyError(
+                f"representative direction coincides with the projection of point "
+                f"{b if a == center_index else a}"
             )
+        raise RadialDegeneracyError(
+            f"points {a} and {b} project to the same direction around the center"
+        )
 
     if center_index is not None:
-        syn_slot = next(k for k in range(mm) if entries[k][1] == center_index)
-        entries = entries[syn_slot + 1:] + entries[: syn_slot + 1]
+        syn_slot = int(np.flatnonzero(labels[slots] == center_index)[0])
+        slots = np.roll(slots, -(syn_slot + 1))
 
-    labels = tuple(e[1] for e in entries)
-    directions = np.array([e[2] for e in entries])
+    directions = dirs[slots]
+    angles = angles[slots]
     directions.setflags(write=False)
+    angles.setflags(write=False)
     return RadialOrder(
         center=p,
-        labels=labels,
+        labels=tuple(labels[slots].tolist()),
         directions=directions,
+        angles=angles,
         representative_dir=syn_dir,
         center_index=center_index,
     )
@@ -266,38 +268,56 @@ def type2_cycle(
     return _star_cycle(order, CycleKind.TYPE_II, len(points))
 
 
+def _direction(angle: float) -> np.ndarray:
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
+def _in_arc(start, width, angle, tol: float):
+    """Whether ``angle`` lies on the closed arc running clockwise from
+    ``start`` over ``width``, with grace ``tol`` at both ends.  Takes floats
+    or broadcasting arrays."""
+    off = (start - angle) % TWO_PI
+    return (off <= width + tol) | (off >= TWO_PI - tol)
+
+
+def _minor_arcs(a, b):
+    """Start angles and widths of the minor arcs between angles a and b
+    (floats or arrays); the start comes first clockwise.  The width is
+    symmetric in a and b to the last bit, so equal pairs score equally
+    whatever their slot order."""
+    d = np.abs(a - b)
+    return np.where((a - b) % TWO_PI <= math.pi, a, b), np.minimum(d, TWO_PI - d)
+
+
 @dataclass(frozen=True)
 class Arc:
-    """Minor arc on the unit circle around a center, clockwise from start_dir
-    to end_dir; the subtended angle never exceeds pi."""
+    """Closed arc on the unit circle around a center, running clockwise from
+    the angle ``start`` over ``width`` radians (at most pi)."""
 
     center: np.ndarray
-    start_dir: np.ndarray
-    end_dir: np.ndarray
+    start: float
+    width: float
 
     @property
-    def width(self) -> float:
-        a = math.atan2(self.start_dir[1], self.start_dir[0])
-        b = math.atan2(self.end_dir[1], self.end_dir[0])
-        return (a - b) % TWO_PI
+    def start_dir(self) -> np.ndarray:
+        return _direction(self.start)
+
+    @property
+    def end_dir(self) -> np.ndarray:
+        return _direction(self.start - self.width)
 
     def contains(self, direction, tol: float = _ARC_EPS) -> bool:
         u = _unit(direction)
-        a = math.atan2(self.start_dir[1], self.start_dir[0])
-        t = math.atan2(u[1], u[0])
-        return (a - t) % TWO_PI <= self.width + tol or (a - t) % TWO_PI >= TWO_PI - tol
+        return bool(_in_arc(self.start, self.width, math.atan2(u[1], u[0]), tol))
 
     def midpoint_dir(self) -> np.ndarray:
-        a = math.atan2(self.start_dir[1], self.start_dir[0])
-        mid = a - self.width / 2.0
-        return np.array([math.cos(mid), math.sin(mid)])
+        return _direction(self.start - self.width / 2.0)
 
     def intersects(self, other: "Arc", tol: float = _ARC_EPS) -> bool:
-        return (
-            self.contains(other.start_dir, tol)
-            or self.contains(other.end_dir, tol)
-            or other.contains(self.start_dir, tol)
-            or other.contains(self.end_dir, tol)
+        # Two arcs of at most pi meet iff one holds the other's start.
+        return bool(
+            _in_arc(self.start, self.width, other.start, tol)
+            or _in_arc(other.start, other.width, self.start, tol)
         )
 
 
@@ -306,12 +326,14 @@ def minor_arc(center, u, v) -> Arc:
     comes first clockwise)."""
     u = _unit(u)
     v = _unit(v)
-    a = math.atan2(u[1], u[0])
-    b = math.atan2(v[1], v[0])
-    cw_u_to_v = (a - b) % TWO_PI
-    if cw_u_to_v <= math.pi:
-        return Arc(center=_as_point(center), start_dir=u, end_dir=v)
-    return Arc(center=_as_point(center), start_dir=v, end_dir=u)
+    start, width = _minor_arcs(math.atan2(u[1], u[0]), math.atan2(v[1], v[0]))
+    return Arc(center=_as_point(center), start=float(start), width=float(width))
+
+
+def _stack(arcs: Sequence[Arc]) -> tuple[np.ndarray, np.ndarray]:
+    """Start angles and widths of ``arcs`` as two arrays."""
+    sw = np.array([(arc.start, arc.width) for arc in arcs])
+    return sw[:, 0], sw[:, 1]
 
 
 def arcs_common_intersection(arcs: Sequence[Arc]) -> Optional[Arc]:
@@ -327,45 +349,27 @@ def arcs_common_intersection(arcs: Sequence[Arc]) -> Optional[Arc]:
     if len(arcs) == 1:
         return arcs[0]
 
-    # Each arc as a counterclockwise interval [lo, lo + width).
-    los = np.empty(len(arcs))
-    widths = np.empty(len(arcs))
-    for k, arc in enumerate(arcs):
-        end = math.atan2(arc.end_dir[1], arc.end_dir[0])
-        los[k] = end % TWO_PI
-        widths[k] = arc.width
-
-    def covered(angle: float) -> bool:
-        rel = (angle - los) % TWO_PI
-        return bool(np.any(rel <= widths + _ARC_EPS) or np.any(rel >= TWO_PI - _ARC_EPS))
-
-    boundary = np.sort(np.unique(np.concatenate([los, (los + widths) % TWO_PI])))
-    cut = None
-    for k in range(len(boundary)):
-        a = boundary[k]
-        b = boundary[(k + 1) % len(boundary)]
-        gap = (b - a) % TWO_PI
-        if gap == 0.0:
-            gap = TWO_PI if len(boundary) == 1 else 0.0
-        mid = (a + gap / 2.0) % TWO_PI
-        if gap > 0.0 and not covered(mid):
-            cut = mid
-            break
-    if cut is None:
+    starts, widths = _stack(arcs)
+    # The cut is the midpoint of the first gap between consecutive arc
+    # endpoints that no arc covers.
+    bounds = np.unique(np.concatenate([(starts - widths) % TWO_PI, starts % TWO_PI]))
+    gaps = (np.roll(bounds, -1) - bounds) % TWO_PI
+    if bounds.size == 1:
+        gaps[:] = TWO_PI
+    mids = (bounds + gaps / 2.0) % TWO_PI
+    free = (gaps > 0.0) & ~np.any(_in_arc(starts, widths, mids[:, None], _ARC_EPS), axis=1)
+    if not free.any():
         return None
+    cut = mids[np.argmax(free)]
 
-    lo_rel = (los - cut) % TWO_PI
-    hi_rel = lo_rel + widths
+    # Each arc as the counterclockwise interval [lo, lo + width] past the cut.
+    lo_rel = (starts - widths - cut) % TWO_PI
     lo = float(lo_rel.max())
-    hi = float(hi_rel.min())
+    hi = float((lo_rel + widths).min())
     if lo > hi + _ARC_EPS:
         return None
     hi = max(hi, lo)
-    start_angle = cut + hi  # ccw upper end = clockwise start
-    end_angle = cut + lo
-    start = np.array([math.cos(start_angle), math.sin(start_angle)])
-    end = np.array([math.cos(end_angle), math.sin(end_angle)])
-    return Arc(center=arcs[0].center, start_dir=start, end_dir=end)
+    return Arc(center=arcs[0].center, start=float(cut) + hi, width=hi - lo)
 
 
 @dataclass(frozen=True)
@@ -398,34 +402,24 @@ def violation_profile(
     order = plan.order
     m = len(order)
     n = (m - 1) // 2
-    syn_slot = m - 1 if plan.kind is CycleKind.TYPE_II else None
-
-    dirs = order.directions
-    ell = 0
-    f = 0.0
-    boundary = 0
-    arcs: list[Arc] = []
-    slots: list[tuple[int, int]] = []
-    for i in range(m):
-        j = (i + n) % m
-        if syn_slot is not None and (i == syn_slot or j == syn_slot):
-            continue
-        c = float(np.dot(dirs[i], dirs[j]))
-        theta = math.acos(max(-1.0, min(1.0, c)))
-        if theta < threshold - tol:
-            ell += 1
-            f += theta
-            arcs.append(minor_arc(order.center, dirs[i], dirs[j]))
-            slots.append((i, j))
-        elif theta <= threshold + tol:
-            boundary += 1
+    i = np.arange(m)
+    j = (i + n) % m
+    # The angle at the center of pair (i, j) is the width of its minor arc.
+    starts, theta = _minor_arcs(order.angles, order.angles[j])
+    exempt = m - 1 if plan.kind is CycleKind.TYPE_II else -1
+    checked = (i != exempt) & (j != exempt)
+    short = checked & (theta < threshold - tol)
+    boundary = checked & ~short & (theta <= threshold + tol)
 
     profile = ViolationProfile(
-        ell=ell,
-        f=f,
-        short_arcs=tuple(arcs),
-        boundary_count=boundary,
-        violated_slots=tuple(slots),
+        ell=int(short.sum()),
+        f=math.fsum(theta[short]),
+        short_arcs=tuple(
+            Arc(center=order.center, start=s, width=w)
+            for s, w in zip(starts[short].tolist(), theta[short].tolist())
+        ),
+        boundary_count=int(boundary.sum()),
+        violated_slots=tuple(zip(i[short].tolist(), j[short].tolist())),
     )
     _assert_short_arc_structure(plan, profile)
     return profile
@@ -434,20 +428,18 @@ def violation_profile(
 def _assert_short_arc_structure(plan: CyclePlan, profile: ViolationProfile) -> None:
     """Structural facts about short arcs: each spans at least n+1 labels
     (endpoints included) and no two are disjoint.  Violations indicate a bug,
-    not bad input, hence assertions."""
+    not bad input, hence ShortArcStructureError."""
     if profile.ell == 0:
         return
-    order = plan.order
-    m = len(order)
+    m = len(plan.order)
     n = (m - 1) // 2
-    for arc in profile.short_arcs:
-        spanned = sum(1 for k in range(m) if arc.contains(order.directions[k], 1e-9))
-        assert spanned >= n + 1, (
-            f"short arc spans {spanned} labels, expected at least {n + 1}"
+    starts, widths = _stack(profile.short_arcs)
+    starts, widths = starts[:, None], widths[:, None]
+    spanned = np.sum(_in_arc(starts, widths, plan.order.angles, 1e-9), axis=1)
+    if spanned.min() < n + 1:
+        raise ShortArcStructureError(
+            f"short arc spans {spanned.min()} labels, expected at least {n + 1}"
         )
-    if profile.ell >= 2:
-        for a in range(profile.ell):
-            for b in range(a + 1, profile.ell):
-                assert profile.short_arcs[a].intersects(profile.short_arcs[b], 1e-9), (
-                    "disjoint short arcs on an odd point set"
-                )
+    holds_start = _in_arc(starts, widths, starts.T, 1e-9)
+    if not np.all(holds_start | holds_start.T):
+        raise ShortArcStructureError("disjoint short arcs on an odd point set")

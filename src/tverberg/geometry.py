@@ -25,7 +25,12 @@ class DegenerateInputError(ValueError):
     """Geometrically degenerate input (zero-length segment, undefined angle)."""
 
 
-class PerturbationError(RuntimeError):
+class InternalError(RuntimeError):
+    """A step the package guarantees to succeed failed: a numerical problem
+    or a bug, not bad input."""
+
+
+class PerturbationError(InternalError):
     """Perturbation failed to reach general position within the retry budget."""
 
 
@@ -177,6 +182,19 @@ def diametral_ball(x, y) -> Ball:
     if np.array_equal(x, y):
         raise DegenerateInputError("degenerate segment: identical endpoints")
     return Ball(center=(x + y) / 2.0, radius=float(np.linalg.norm(y - x)) / 2.0)
+
+
+def edge_balls(coords: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of the diametral balls of ``edges`` (index pairs
+    into ``coords``)."""
+    e = np.asarray(edges, dtype=int).reshape(-1, 2)
+    a, b = coords[e[:, 0]], coords[e[:, 1]]
+    return (a + b) / 2.0, np.linalg.norm(b - a, axis=1) / 2.0
+
+
+def ball_depths(centers: np.ndarray, radii: np.ndarray, q) -> np.ndarray:
+    """radius - distance(center, q) per ball; nonnegative inside."""
+    return radii - np.linalg.norm(np.asarray(q, dtype=float) - centers, axis=1)
 
 
 def lens_membership(p, x, y, alpha: float, tol: float = DEFAULT_TOL) -> Membership:

@@ -20,9 +20,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .cycles import GeoGraph
-from .geometry import DEFAULT_TOL, Ball, PointSet, _as_point
+from .geometry import DEFAULT_TOL, Ball, InternalError, PointSet, ball_depths, edge_balls
 
 _SINGULAR_EPS = 1e-13
+
+
+class CertifierMismatchError(InternalError):
+    """The enumeration's triple table accepted a family that the full disk
+    decision rejects."""
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,7 @@ def _disk_minimax(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, f
 
 
 def _certificate(witness: np.ndarray, labels, centers, radii) -> WitnessCertificate:
-    depths = radii - np.linalg.norm(witness - centers, axis=1)
+    depths = ball_depths(centers, radii, witness)
     return WitnessCertificate(
         witness=np.array(witness),
         per_edge_margin=tuple((lab, float(dep)) for lab, dep in zip(labels, depths)),
@@ -213,10 +218,7 @@ def is_tverberg_graph(
         raise ValueError("empty edge set: the common intersection is ill-defined")
     if graph.n_vertices != len(points):
         raise ValueError("graph order does not match the point set")
-    P = points.coords
-    e = np.array(graph.edges)
-    centers = (P[e[:, 0]] + P[e[:, 1]]) / 2.0
-    radii = np.linalg.norm(P[e[:, 1]] - P[e[:, 0]], axis=1) / 2.0
+    centers, radii = edge_balls(points.coords, graph.edges)
     if points.dim == 2:
         q, val = _disk_minimax(centers, radii)
     else:
@@ -439,12 +441,9 @@ def enumerate_hamiltonian(
     if not (low <= m <= 9):
         raise ValueError(f"enumeration supports {low} <= |S| <= 9 for mode={mode!r}")
 
-    P = points.coords
     pair_list = list(itertools.combinations(range(m), 2))
     pair_id = {p: k for k, p in enumerate(pair_list)}
-    e = np.array(pair_list)
-    centers = (P[e[:, 0]] + P[e[:, 1]]) / 2.0
-    radii = np.linalg.norm(P[e[:, 1]] - P[e[:, 0]], axis=1) / 2.0
+    centers, radii = edge_balls(points.coords, pair_list)
 
     seqs = _hamiltonian_sequences(m, mode)
     seq_arr = np.array(seqs)
@@ -484,7 +483,10 @@ def enumerate_hamiltonian(
         cert = _fast_family_certificate(
             centers[ids], radii[ids], graph.edges, tol
         ) or is_tverberg_graph(points, graph, tol)
-        assert cert is not None, "triple-table accepted a family the certifier rejects"
+        if cert is None:
+            raise CertifierMismatchError(
+                "triple-table accepted a family the certifier rejects"
+            )
         found.append((graph, cert))
     return EnumerationReport(
         total_cycles=len(seqs),

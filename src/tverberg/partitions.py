@@ -19,20 +19,20 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .cycles import GeoGraph
-from .geometry import DEFAULT_TOL, PointSet
+from .geometry import DEFAULT_TOL, InternalError, PointSet, ball_depths, edge_balls
 from .oracle import WitnessCertificate
 
 
-class PivotLimitError(RuntimeError):
+class PivotLimitError(InternalError):
     """The simplex solve exceeded its pivot budget (should not happen with
     Bland's rule; indicates conditioning trouble)."""
 
 
-class TheoremViolationError(RuntimeError):
+class TheoremViolationError(InternalError):
     """No feasible partition found although the size bound guarantees one."""
 
 
-class ProofViolationError(RuntimeError):
+class ProofViolationError(InternalError):
     """A construction step that is guaranteed to succeed found no candidate."""
 
 
@@ -322,11 +322,7 @@ def partition_covering_graph(
             edges.add((q_idx, pick) if q_idx < pick else (pick, q_idx))
 
     graph = GeoGraph(m, tuple(sorted(edges)))
-    P = points.coords
-    e = np.array(graph.edges)
-    centers = (P[e[:, 0]] + P[e[:, 1]]) / 2.0
-    radii = np.linalg.norm(P[e[:, 1]] - P[e[:, 0]], axis=1) / 2.0
-    depths = radii - np.linalg.norm(p - centers, axis=1)
+    depths = ball_depths(*edge_balls(points.coords, graph.edges), p)
     if depths.min() < -max(tol, 2.0 * band):
         raise ProofViolationError(
             f"common point left a constructed edge disk (depth {depths.min():.3e})"

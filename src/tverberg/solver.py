@@ -14,7 +14,6 @@ for at most nine points.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -36,11 +35,14 @@ from .cycles import (
 from .geometry import (
     DEFAULT_TOL,
     RIGHT_ANGLE,
+    InternalError,
     PerturbationError,
     PointSet,
     angle_at,
+    ball_depths,
     check_general_position,
     diametral_ball,
+    edge_balls,
     perturb,
 )
 from .oracle import (
@@ -50,15 +52,15 @@ from .oracle import (
 )
 
 
-class ArcHellyFailureError(RuntimeError):
+class ArcHellyFailureError(InternalError):
     """The violated short arcs had empty intersection (numerical degeneracy)."""
 
 
-class AscentStalledError(RuntimeError):
+class AscentStalledError(InternalError):
     """Line search underflowed without finding an improving step."""
 
 
-class SearchFailedError(RuntimeError):
+class SearchFailedError(InternalError):
     """All restarts exhausted and no brute-force fallback was possible."""
 
 
@@ -83,7 +85,6 @@ class SolverConfig:
     # clears pi/2 by this much, so distance margins come out clean.
     polish_margin: float = 1e-6
     polish_iters: int = 200
-    jobs: int = 1
     on_state: Optional[Callable] = None
 
 
@@ -360,42 +361,21 @@ def solve_odd(
     lo, hi = work.bounding_box()
     starts = [work.centroid()] + [rng.uniform(lo, hi) for _ in range(config.restarts)]
 
-    def attempt(item: tuple[int, np.ndarray]) -> tuple[Optional[SolverState], int]:
-        k, start = item
-        local_rng = np.random.default_rng((seed, k))
-        state = _initial_state(work, start, local_rng, config)
-        if state is None:
-            return None, 0
-        state, ok = _ascend(state, work, config)
-        if not ok:
-            return None, state.iterations
-        state = _polish(state, work, config)
-        return state, state.iterations
-
     iterations = 0
     final: Optional[SolverState] = None
     restarts_used = 0
-    if config.jobs <= 1:
-        for k, start in enumerate(starts):
-            state, its = attempt((k, start))
-            iterations += its
-            if state is not None:
-                final = state
-                restarts_used = k
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for wave_start in range(0, len(starts), config.jobs):
-                wave = list(enumerate(starts))[wave_start : wave_start + config.jobs]
-                outcomes = list(pool.map(attempt, wave))
-                iterations += sum(its for _, its in outcomes)
-                for off, (state, _) in enumerate(outcomes):
-                    if state is not None:
-                        final = state
-                        restarts_used = wave_start + off
-                        break
-                if final is not None:
-                    break
+    for k, start in enumerate(starts):
+        state = _initial_state(work, start, np.random.default_rng((seed, k)), config)
+        if state is None:
+            continue
+        state, ok = _ascend(state, work, config)
+        if not ok:
+            iterations += state.iterations
+            continue
+        final = _polish(state, work, config)
+        iterations += final.iterations
+        restarts_used = k
+        break
 
     if final is not None:
         graph = final.plan.cycle
@@ -439,15 +419,13 @@ def solve_odd(
 
 def _check_result(result: SolveResult, tol: float) -> None:
     """Hard postcondition: the witness sits in every edge's diametral disk."""
-    P = result.points.coords
-    for a, b in result.graph.edges:
-        center = (P[a] + P[b]) / 2.0
-        radius = float(np.linalg.norm(P[b] - P[a])) / 2.0
-        depth = radius - float(np.linalg.norm(result.witness - center))
-        if depth < -max(tol, 1e-9):
-            raise SearchFailedError(
-                f"internal verification failed on edge ({a},{b}): depth {depth:.3e}"
-            )
+    depths = ball_depths(*edge_balls(result.points.coords, result.graph.edges), result.witness)
+    k = int(np.argmin(depths))
+    if depths[k] < -max(tol, 1e-9):
+        a, b = result.graph.edges[k]
+        raise SearchFailedError(
+            f"internal verification failed on edge ({a},{b}): depth {depths[k]:.3e}"
+        )
 
 
 def solve_even_path(
@@ -604,11 +582,7 @@ def four_point_cycle(points: PointSet, tol: float = DEFAULT_TOL) -> SolveResult:
         tri = [i for i in range(4) if i != inner]
         w = P[inner]
         sides = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])]
-        depths = []
-        for a, b in sides:
-            c = (P[a] + P[b]) / 2.0
-            r = float(np.linalg.norm(P[b] - P[a])) / 2.0
-            depths.append(r - float(np.linalg.norm(w - c)))
+        depths = ball_depths(*edge_balls(P, sides), w)
         take = sorted(range(3), key=lambda s: -depths[s])[:2]
         if depths[take[1]] < -tol:
             raise SearchFailedError("interior point covered by fewer than two side disks")

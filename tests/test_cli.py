@@ -1,8 +1,10 @@
 import json
 import math
 
+import tverberg.cli
 from tverberg.cli import cli_main
 from tverberg.pointio import format_points, generate
+from tverberg.solver import SearchFailedError
 
 SQUARE_TXT = "0 0\n1 0\n1 1\n0 1\n"
 PENTAGON_TXT = "\n".join(
@@ -136,3 +138,14 @@ class TestOtherCommands:
         assert cli_main(["solve", missing]) == 2
         bad = write(tmp_path, "bad.txt", "0 0\n0 0\n")
         assert cli_main(["solve", bad]) == 2
+
+    def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        def failing_solve(points, seed=0, config=None):
+            raise SearchFailedError("no certified cycle found")
+
+        monkeypatch.setattr(tverberg.cli, "solve", failing_solve)
+        path = write(tmp_path, "pent.txt", PENTAGON_TXT)
+        assert cli_main(["solve", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no certified cycle found\n"

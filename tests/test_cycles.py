@@ -1,9 +1,15 @@
+import dataclasses
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tverberg
 from tverberg.cycles import (
     Arc,
     BrokenCycleError,
@@ -11,6 +17,8 @@ from tverberg.cycles import (
     GeoGraph,
     RadialDegeneracyError,
     RepresentativeDegeneracyError,
+    ShortArcStructureError,
+    _assert_short_arc_structure,
     arcs_common_intersection,
     geo_graph,
     minor_arc,
@@ -35,6 +43,61 @@ def regular_polygon(m, radius=1.0, phase=math.pi / 2):
 
 def dir_at(deg):
     return np.array([math.cos(math.radians(deg)), math.sin(math.radians(deg))])
+
+
+def _random_plan(seed, m, kind):
+    """A random planar set and a plan around a center chosen so pairs violate."""
+    g = np.random.default_rng([seed, m])
+    S = point_set(g.uniform(size=(m, 2)))
+    if kind is CycleKind.TYPE_I:
+        p = g.uniform(0.05, 0.5, size=2)  # off-center
+        return S, type1_cycle(S, p)
+    k = int(np.argmin(S.coords.sum(axis=1)))  # a hull vertex
+    vecs = np.delete(S.coords, k, axis=0) - S.point(k)
+    hi, lo = np.sort(np.arctan2(vecs[:, 1], vecs[:, 0]))[::-1][:2]
+    mid = (hi + lo) / 2
+    return S, type2_cycle(S, k, (math.cos(mid), math.sin(mid)))
+
+
+def _check_profile_against_scalar(S, plan, threshold):
+    """Compare violation_profile with scalar angle_at / atan2 arithmetic;
+    returns the number of violated pairs."""
+    profile = violation_profile(plan, threshold=threshold)
+    p = plan.center
+    labels = plan.order.labels
+    m = len(labels)
+    n = (m - 1) // 2
+    ell, f, slots, ends = 0, 0.0, [], []
+    for i in range(m):
+        j = (i + n) % m
+        if plan.kind is CycleKind.TYPE_II and m - 1 in (i, j):
+            continue
+        a, b = labels[i], labels[j]
+        theta = angle_at(p, S.point(a), S.point(b))
+        if theta < threshold - 1e-9:
+            ell += 1
+            f += theta
+            slots.append((i, j))
+            ta, tb = (math.atan2(*(S.point(k) - p)[::-1]) for k in (a, b))
+            # The arc starts at whichever endpoint comes first clockwise.
+            ends.append((ta, tb) if (ta - tb) % (2 * math.pi) <= math.pi else (tb, ta))
+    assert profile.ell == ell
+    assert profile.f == pytest.approx(f, rel=1e-12)
+    assert profile.violated_slots == tuple(slots)
+    for arc, (start, end) in zip(profile.short_arcs, ends):
+        assert np.allclose(arc.start_dir, (math.cos(start), math.sin(start)), atol=1e-12)
+        assert np.allclose(arc.end_dir, (math.cos(end), math.sin(end)), atol=1e-12)
+    return ell
+
+
+def _doctored_structure_check():
+    """Run the short-arc check on a real profile whose only arc is cut to
+    1e-6 rad, so it spans one label instead of at least n + 1."""
+    plan = type1_cycle(point_set(np.random.default_rng(3).uniform(size=(7, 2))), (0.1, 0.1))
+    profile = violation_profile(plan)
+    arc = profile.short_arcs[0]
+    narrow = Arc(center=arc.center, start=arc.start, width=1e-6)
+    _assert_short_arc_structure(plan, dataclasses.replace(profile, short_arcs=(narrow,)))
 
 
 class TestGeoGraph:
@@ -213,23 +276,45 @@ class TestViolationProfile:
             if profile.ell == 0:
                 assert profile.f == 0.0
 
-    def test_matches_brute_enumeration(self, rng):
-        S = point_set(rng.uniform(size=(5, 2)))
-        p = S.centroid()
-        plan = type1_cycle(S, p)
-        profile = violation_profile(plan)
-        labels = plan.order.labels
-        n = 2
-        ell = 0
-        f = 0.0
-        for i in range(5):
-            a, b = labels[i], labels[(i + n) % 5]
-            theta = angle_at(p, S.point(a), S.point(b))
-            if theta < math.pi / 2 - 1e-9:
-                ell += 1
-                f += theta
-        assert profile.ell == ell
-        assert profile.f == pytest.approx(f)
+    def test_matches_brute_enumeration(self):
+        # Type I and II plans, small to large m, the right-angle bar and the
+        # raised bar of the solver's polish phase.
+        for seed, m, kind, threshold in itertools.product(
+            (0, 1, 2),
+            (5, 7, 21, 101),
+            (CycleKind.TYPE_I, CycleKind.TYPE_II),
+            (math.pi / 2, math.pi / 2 + 1e-6),
+        ):
+            S, plan = _random_plan(seed, m, kind)
+            assert _check_profile_against_scalar(S, plan, threshold) > 0
+        # A pair at pi/2 + 5e-7 passes the right-angle bar and fails the polish bar.
+        angles = (0.0, -1.0, -(math.pi / 2 + 5e-7), -3.0, -4.5)
+        radii = (1, 2, 1.5, 1, 2)
+        S = point_set([(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)])
+        plan = type1_cycle(S, (0.0, 0.0))
+        assert _check_profile_against_scalar(S, plan, math.pi / 2) == 0
+        assert _check_profile_against_scalar(S, plan, math.pi / 2 + 1e-6) == 1
+
+    def test_structural_check_raises_named_error(self):
+        with pytest.raises(ShortArcStructureError, match="spans 1 labels"):
+            _doctored_structure_check()
+        # The same check under python -O, which strips assert statements.
+        script = (
+            "import test_cycles\n"
+            "from tverberg.cycles import ShortArcStructureError\n"
+            "try:\n"
+            "    test_cycles._doctored_structure_check()\n"
+            "except ShortArcStructureError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        paths = [pathlib.Path(tverberg.__file__).parents[1], pathlib.Path(__file__).parent]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("False short arc spans 1 labels")
 
     def test_type2_exemptions(self):
         S = point_set([(1, -1), (1, 1), (-1, 1), (-1, -1), (0, 0)])

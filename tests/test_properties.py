@@ -190,7 +190,7 @@ def test_ascent_trace_is_lexicographically_monotone():
 
 def test_short_arc_structure_on_forced_violations():
     # Pick off-center evaluation points so profiles carry violations; the
-    # span and pairwise-intersection assertions inside violation_profile must
+    # span and pairwise-intersection checks inside violation_profile must
     # hold every time.
     checked = 0
     for seed in range(300):
@@ -202,7 +202,7 @@ def test_short_arc_structure_on_forced_violations():
             plan = type1_cycle(S, p)
         except RadialDegeneracyError:
             continue
-        profile = violation_profile(plan)  # raises AssertionError on violation
+        profile = violation_profile(plan)  # raises ShortArcStructureError on violation
         if profile.ell >= 1:
             checked += 1
             n = (m - 1) // 2

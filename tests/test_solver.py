@@ -195,12 +195,6 @@ class TestSolveOdd:
         assert a.graph.edge_set() == b.graph.edge_set()
         assert np.array_equal(a.witness, b.witness)
 
-    def test_jobs_parallel_same_result(self):
-        S = generate("uniform", 9, seed=78)
-        a = solve_odd(S, seed=5)
-        b = solve_odd(S, seed=5, config=SolverConfig(jobs=4))
-        assert a.graph.edge_set() == b.graph.edge_set()
-
     def test_margins_clean_after_polish(self):
         for seed in range(20):
             S = generate("uniform", 7, seed=seed + 300)
