@@ -163,19 +163,16 @@ def _cmd_lens_check(args) -> int:
     points = _read_points(args.file)
     if (args.edges is None) == (not args.all_cycles):
         raise ValueError("give exactly one of --edges or --all-cycles")
-    kwargs = {}
-    if args.grid_step is not None:
-        kwargs["grid_step"] = args.grid_step
     if args.all_cycles:
-        if len(points) > 9:
-            raise ValueError("--all-cycles enumeration is capped at 9 points")
+        if not 3 <= len(points) <= 9:
+            raise ValueError("--all-cycles enumeration needs 3 to 9 points")
         any_present = False
         for seq in _hamiltonian_sequences(len(points), "cycles"):
             edges = tuple(
                 tuple(sorted((seq[i], seq[(i + 1) % len(seq)]))) for i in range(len(seq))
             )
             graph = GeoGraph(len(points), edges)
-            cert = lens_family_common_point(points, graph, args.alpha, args.tol, **kwargs)
+            cert = lens_family_common_point(points, graph, args.alpha, args.tol)
             name = "-".join(str(v) for v in seq)
             if cert is None:
                 print(f"cycle {name}: ABSENT")
@@ -185,7 +182,7 @@ def _cmd_lens_check(args) -> int:
                 print(f"cycle {name}: PRESENT witness=({w[0]:.12g},{w[1]:.12g})")
         return 0 if any_present else 1
     graph = _parse_edges(args.edges, len(points))
-    cert = lens_family_common_point(points, graph, args.alpha, args.tol, **kwargs)
+    cert = lens_family_common_point(points, graph, args.alpha, args.tol)
     if cert is None:
         print("ABSENT")
         return 1
@@ -318,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--edges", default=None)
     p.add_argument("--all-cycles", action="store_true")
-    p.add_argument("--grid-step", type=float, default=None)
     add_tol(p)
     p.set_defaults(func=_cmd_lens_check)
 

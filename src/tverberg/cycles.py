@@ -428,7 +428,11 @@ def violation_profile(
 def _assert_short_arc_structure(plan: CyclePlan, profile: ViolationProfile) -> None:
     """Structural facts about short arcs: each spans at least n+1 labels
     (endpoints included) and no two are disjoint.  Violations indicate a bug,
-    not bad input, hence ShortArcStructureError."""
+    not bad input, hence ShortArcStructureError.
+
+    The second fact follows from the first by pigeonhole: two arcs that each
+    hold n+1 of the 2n+1 label angles share one.  Its branch can fire only
+    in the sliver the 1e-9 tolerance leaves between the two tests."""
     if profile.ell == 0:
         return
     m = len(plan.order)

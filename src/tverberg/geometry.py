@@ -273,17 +273,25 @@ def _min_altitude(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     return best
 
 
-def _circle_pair_meet(ca, ra, cb, rb) -> list:
-    """Intersection points of two circles (empty when disjoint or nested)."""
-    d = float(np.linalg.norm(cb - ca))
-    if d == 0.0 or d > ra + rb or d < abs(ra - rb):
-        return []
+def circle_crossings(ca, ra, cb, rb) -> np.ndarray:
+    """Crossing points of circle pairs, batched over leading axes: centers
+    (..., 2) and radii (...) give points (..., 2, 2).
+
+    Points are NaN where the circles do not meet (equal centers, disjoint or
+    nested); a tangent pair gives its touching point twice.
+    """
+    diff = cb - ca
+    d = np.linalg.norm(diff, axis=-1)
+    meet = (d > 0.0) & (d <= ra + rb) & (d >= np.abs(ra - rb))
+    d = np.where(meet, d, 1.0)
     s = (d * d + ra * ra - rb * rb) / (2.0 * d * d)
-    base = ca + s * (cb - ca)
+    base = ca + s[..., None] * diff
     h2 = ra * ra - ((d * d + ra * ra - rb * rb) / (2.0 * d)) ** 2
-    h = math.sqrt(max(h2, 0.0))
-    perp = np.array([-(cb - ca)[1], (cb - ca)[0]]) / d
-    return [base + h * perp, base - h * perp]
+    h = np.sqrt(np.maximum(h2, 0.0))[..., None]
+    perp = np.stack([-diff[..., 1], diff[..., 0]], axis=-1) / d[..., None]
+    pts = np.stack([base + h * perp, base - h * perp], axis=-2)
+    pts[~meet] = np.nan
+    return pts
 
 
 def check_general_position(points: PointSet, tol: float = DEFAULT_TOL) -> GeneralPositionReport:
@@ -374,26 +382,18 @@ def check_general_position(points: PointSet, tol: float = DEFAULT_TOL) -> Genera
             )
         # Collinear-center triples: probe the third circle at the most
         # transversal pairwise intersection instead.
-        for k in np.nonzero(~good & ~common)[0]:
-            idx = trips[k]
-            best = None
-            for u, v, w in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                pts = _circle_pair_meet(
-                    centers[idx[u]], radii[idx[u]], centers[idx[v]], radii[idx[v]]
-                )
-                if len(pts) == 2:
-                    spread = float(np.linalg.norm(pts[0] - pts[1]))
-                    if best is None or spread > best[0]:
-                        best = (spread, pts, idx[w])
-            if best is None or best[0] <= tol:
-                continue
-            _, pts, other = best
-            for qq in pts:
-                if abs(np.linalg.norm(qq - centers[other]) - radii[other]) <= tol:
-                    report.triple_boundary_meets.append(
-                        (tuple(pairs[idx[0]]), tuple(pairs[idx[1]]), tuple(pairs[idx[2]]))
-                    )
-                    break
+        bad = trips[~good & ~common]
+        combos = np.array([(0, 1, 2), (0, 2, 1), (1, 2, 0)])
+        u, v = bad[:, combos[:, 0]], bad[:, combos[:, 1]]
+        meets = circle_crossings(centers[u], radii[u], centers[v], radii[v])  # (K, 3, 2, 2)
+        spread = np.linalg.norm(meets[:, :, 0] - meets[:, :, 1], axis=-1)
+        pick = np.where(np.isnan(spread), -np.inf, spread).argmax(axis=1)
+        rows = np.arange(len(bad))
+        other = bad[rows, combos[pick, 2]]
+        dist = np.linalg.norm(meets[rows, pick] - centers[other][:, None], axis=-1)
+        on_other = (np.abs(dist - radii[other][:, None]) <= tol).any(axis=1)
+        for k in np.nonzero((spread[rows, pick] > tol) & on_other)[0]:
+            report.triple_boundary_meets.append(tuple(tuple(pairs[i]) for i in bad[k]))
     return report
 
 

@@ -2,11 +2,14 @@
 certificates, alpha-lens family decisions, and exhaustive small-instance
 enumeration of Hamiltonian cycles and paths.
 
-The planar disk decision is exact up to tolerance: the minimum over q of
-max_i(dist(q, c_i) - r_i) is attained at a basis of at most three balls, so
-enumerating single-center, two-ball and three-ball candidate points finds the
-true minimax.  The same reduction, precomputed per triple of candidate edges,
-powers the enumeration oracle at desk scale.
+Both planar decisions test a finite set of candidate points and are exact up
+to tolerance.  The minimum over q of max_i(dist(q, c_i) - r_i) is attained
+at a basis of at most three balls, so single-center, two-ball and three-ball
+candidates find the true minimax of a disk family.  The same reduction,
+precomputed per triple of candidate edges, powers the enumeration oracle at
+desk scale.  A non-empty alpha-lens family is compact, and its lowest point
+is the bottom of a lens circle, a crossing of two lens circles, or an input
+point, so those candidates decide it for every alpha in (0, pi).
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cycles import GeoGraph
-from .geometry import DEFAULT_TOL, Ball, InternalError, PointSet, ball_depths, edge_balls
+from .geometry import DEFAULT_TOL, Ball, InternalError, PointSet
+from .geometry import ball_depths, circle_crossings, edge_balls
 
 _SINGULAR_EPS = 1e-13
+_LENS_BLOCK = 1 << 18
 
 
 class CertifierMismatchError(InternalError):
@@ -260,13 +264,17 @@ def lens_family_common_point(
     alpha: float,
     tol: float = DEFAULT_TOL,
     grid_step: Optional[float] = None,
-    starts: int = 5,
 ) -> Optional[WitnessCertificate]:
     """Common point of the alpha-lenses of all edges, or None.
 
-    Minimizes max_e(alpha - angle_e(q)) by grid seeding over the inflated
-    hull followed by simplex descent.  For alpha >= pi/2 the lenses are
-    convex so the verdict is reliable; below pi/2 absence is best-effort.
+    Each lens is the intersection (alpha >= pi/2) or union (alpha < pi/2) of
+    two disks, so a non-empty family's lowest point is the bottom of a lens
+    circle, a crossing of two, or an input point.  The best of these O(E^2)
+    candidates under max_e(alpha - angle_e(q)) is returned if its value is
+    <= tol: exact for every alpha, except that a family empty at alpha but
+    not at alpha - tol may go either way.  The witness lies on a lens circle
+    or at an input point, not at the deepest point, so its margin is often
+    about 0.  ``grid_step`` is accepted and ignored.
     """
     if points.dim != 2:
         raise ValueError("lens families are planar")
@@ -274,67 +282,32 @@ def lens_family_common_point(
         raise ValueError("alpha must lie in (0, pi)")
     if not graph.edges:
         raise ValueError("empty edge set")
+    if graph.n_vertices != len(points):
+        raise ValueError("graph order does not match the point set")
     P = points.coords
     e = np.array(graph.edges)
     xs, ys = P[e[:, 0]], P[e[:, 1]]
 
-    lo, hi = points.bounding_box()
-    pad = 0.5 * float(np.linalg.norm(ys - xs, axis=1).max())
-    lo = lo - pad
-    hi = hi + pad
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    step = grid_step if grid_step is not None else span / 64.0
-    nx = max(int(math.ceil((hi[0] - lo[0]) / step)) + 1, 2)
-    ny = max(int(math.ceil((hi[1] - lo[1]) / step)) + 1, 2)
-
-    def objective_many(qs: np.ndarray) -> np.ndarray:
-        return (alpha - _edge_angles(qs, xs, ys)).max(axis=1)
-
-    gx = np.linspace(lo[0], hi[0], nx)
-    gy = np.linspace(lo[1], hi[1], ny)
-    seeds = []
-    seed_vals = []
-    chunk = max(1, 200_000 // max(len(e), 1))
-    grid = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    for k in range(0, grid.shape[0], chunk):
-        block = grid[k : k + chunk]
-        vals = objective_many(block)
-        order = np.argsort(vals)[: starts]
-        seeds.append(block[order])
-        seed_vals.append(vals[order])
-    seeds = np.concatenate(seeds, axis=0)
-    seed_vals = np.concatenate(seed_vals)
-    order = np.argsort(seed_vals)[: starts]
-
-    def objective_one(q: np.ndarray) -> float:
-        return float(objective_many(q.reshape(1, 2))[0])
-
-    best_q = seeds[order[0]]
-    best_v = float(seed_vals[order[0]])
-    # Input points are lens corners where the objective is discontinuous
-    # (endpoint convention); a pinched family can meet exactly there, out of
-    # reach of any descent, so test them directly.
-    corner_vals = objective_many(P)
-    kc = int(np.argmin(corner_vals))
-    if corner_vals[kc] < best_v:
-        best_q, best_v = P[kc].copy(), float(corner_vals[kc])
-    if best_v > -10.0 * tol:
-        for s in order:
-            res = minimize(
-                objective_one,
-                seeds[s],
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 2000},
-            )
-            if res.fun < best_v:
-                best_q, best_v = np.array(res.x), float(res.fun)
-            if best_v <= -10.0 * tol:
-                break
-    if best_v > tol:
+    # Edge e subtends alpha on two circles of radius |xy|/(2 sin alpha)
+    # through x and y, centered on either side of xy.
+    d, mid = ys - xs, (xs + ys) / 2.0
+    offset = (0.5 / math.tan(alpha)) * np.stack([-d[:, 1], d[:, 0]], axis=1)
+    centers = np.concatenate([mid + offset, mid - offset])
+    radii = np.tile(np.linalg.norm(d, axis=1) / (2.0 * math.sin(alpha)), 2)
+    i, j = np.triu_indices(len(radii), k=1)
+    crossings = circle_crossings(centers[i], radii[i], centers[j], radii[j]).reshape(-1, 2)
+    bottoms = centers - radii[:, None] * np.array([0.0, 1.0])
+    cands = np.concatenate([bottoms, crossings[np.isfinite(crossings[:, 0])], P])
+    # Blocks keep the (candidates, edges) angle table small.
+    blocks = np.array_split(cands, 1 + len(cands) * len(e) // _LENS_BLOCK)
+    vals = np.concatenate([(alpha - _edge_angles(b, xs, ys)).max(axis=1) for b in blocks])
+    best = int(np.argmin(vals))
+    if vals[best] > tol:
         return None
-    angles = _edge_angles(best_q.reshape(1, 2), xs, ys)[0]
+    q = cands[best].copy()
+    angles = _edge_angles(q.reshape(1, 2), xs, ys)[0]
     return WitnessCertificate(
-        witness=best_q,
+        witness=q,
         per_edge_margin=tuple(
             (tuple(edge), float(a - alpha)) for edge, a in zip(graph.edges, angles)
         ),

@@ -72,6 +72,15 @@ class TestLensCheck:
         assert code == 1
         assert out.count("ABSENT") == 3
 
+    def test_all_cycles_needs_three_points(self, tmp_path, capsys):
+        for name, text in (("one.txt", "0 0\n"), ("two.txt", "0 0\n1 0\n")):
+            path = write(tmp_path, name, text)
+            code = cli_main(["lens-check", path, "--alpha", "1.6", "--all-cycles"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "3 to 9 points" in captured.err
+
     def test_single_family_present(self, tmp_path, capsys):
         path = write(tmp_path, "sq.txt", SQUARE_TXT)
         code = cli_main(

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tverberg
 from tverberg.cycles import GeoGraph, geo_graph
 from tverberg.geometry import Ball, in_diametral_ball, point_set
 from tverberg.oracle import (
@@ -168,6 +173,90 @@ class TestLensFamily:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             lens_family_common_point(SQUARE, cycle_graph(4, (0, 1, 2, 3)), math.pi)
+
+    def test_graph_order_mismatch(self):
+        with pytest.raises(ValueError, match="order"):
+            lens_family_common_point(SQUARE, cycle_graph(3, (0, 1, 2)), math.pi / 2)
+
+    def test_matches_grid_sweep(self):
+        # Independent cross-check: a dense grid of max_e(alpha - angle_e), with
+        # angles by atan2, plus the input points (where the endpoint
+        # convention makes the objective jump).  Whenever that sweep finds a
+        # point of the family, the exact oracle must report one whose value
+        # is no worse than 0 (the lowest point lies on a lens boundary).
+        for m in range(4, 8):
+            for seed in range(30):
+                g = np.random.default_rng(1000 * m + seed)
+                S = point_set(g.uniform(size=(m, 2)))
+                graph = cycle_graph(m, [0] + list(1 + g.permutation(m - 1)))
+                for alpha in (float(g.uniform(0.0, math.pi)), math.pi / 2):
+                    self._check_against_grid(S, graph, alpha)
+        # A triangle whose angle theta at x exceeds alpha > 2pi/3 pinches its
+        # family to the input point x: the lens corners at x meet only there.
+        for seed in range(10):
+            g = np.random.default_rng(seed)
+            phi, theta = g.uniform(0.0, 2.0 * math.pi), g.uniform(2.2, 3.0)
+            r1, r2 = g.uniform(0.5, 1.5, size=2)
+            S = point_set(
+                [
+                    (0.0, 0.0),
+                    (r1 * math.cos(phi), r1 * math.sin(phi)),
+                    (r2 * math.cos(phi + theta), r2 * math.sin(phi + theta)),
+                ]
+            )
+            alpha = float(g.uniform(2.0 * math.pi / 3.0, theta))
+            self._check_against_grid(S, cycle_graph(3, (0, 1, 2)), alpha)
+
+    @staticmethod
+    def _check_against_grid(S, graph, alpha, tol=1e-9, n=161):
+        P = S.coords
+        e = np.array(graph.edges)
+        xs, ys = P[e[:, 0]], P[e[:, 1]]
+        # The family lies in every lens, so in the box around the two lens
+        # disks of each edge.
+        d = ys - xs
+        mid = (xs + ys) / 2.0
+        reach = np.abs(np.stack([-d[:, 1], d[:, 0]], axis=1)) * abs(0.5 / math.tan(alpha))
+        reach += (np.linalg.norm(d, axis=1) / (2.0 * math.sin(alpha)))[:, None]
+        lo, hi = (mid - reach).max(axis=0), (mid + reach).min(axis=0)
+        sweep = [P]
+        if np.all(lo <= hi):
+            gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n))
+            sweep.append(np.stack([gx.ravel(), gy.ravel()], axis=1))
+        q = np.concatenate(sweep)
+        u = xs[None] - q[:, None]
+        v = ys[None] - q[:, None]
+        ang = np.arctan2(np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]), (u * v).sum(axis=2))
+        at_end = np.all(u == 0.0, axis=2) | np.all(v == 0.0, axis=2)
+        grid_min = (alpha - np.where(at_end, math.pi, ang)).max(axis=1).min()
+
+        cert = lens_family_common_point(S, graph, alpha, tol)
+        if cert is not None:
+            assert cert.min_margin() >= -tol
+        if grid_min <= 0.0:
+            assert cert is not None, f"grid found {grid_min:.3g} at alpha={alpha}"
+            assert -cert.min_margin() <= 1e-12
+
+    def test_decides_without_scipy(self):
+        script = (
+            "import math, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import tverberg as tv, tverberg.cli\n"
+            "from tverberg.cycles import geo_graph\n"
+            "sq = tv.point_set([(0, 0), (1, 0), (1, 1), (0, 1)])\n"
+            "sqc = tv.point_set([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])\n"
+            "side = geo_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])\n"
+            "star = geo_graph(5, [(0, 1), (1, 4), (2, 4), (2, 3), (0, 3)])\n"
+            "print(tv.lens_family_common_point(sq, side, math.pi / 2) is not None,\n"
+            "      tv.lens_family_common_point(sqc, star, math.pi / 2 + 0.01) is None)\n"
+        )
+        src = pathlib.Path(tverberg.__file__).parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "True"]
 
 
 class TestEnumeration:
