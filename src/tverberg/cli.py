@@ -64,6 +64,10 @@ def _digest(points: PointSet) -> str:
 
 def _result_document(points: PointSet, result: SolveResult, tol: float) -> dict:
     depths = ball_depths(*edge_balls(result.points.coords, result.graph.edges), result.witness)
+    perturbation = 0.0  # largest point displacement over the input's diameter
+    if result.perturbed:
+        moved = np.linalg.norm(result.points.coords - points.coords, axis=1).max()
+        perturbation = float(moved / points.diameter())
     return {
         "tool": "tverberg",
         "version": __version__,
@@ -81,6 +85,7 @@ def _result_document(points: PointSet, result: SolveResult, tol: float) -> dict:
             "iterations": result.iterations,
             "restarts": result.restarts,
             "perturbed": result.perturbed,
+            "perturbation": perturbation,
             "seed": result.seed,
             "tol": tol,
         },

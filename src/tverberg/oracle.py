@@ -247,13 +247,14 @@ def _edge_angles(qs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Angle subtended at each q by each segment (x_e, y_e); pi at endpoints."""
     u = xs[None, :, :] - qs[:, None, :]
     v = ys[None, :, :] - qs[:, None, :]
-    nu = np.linalg.norm(u, axis=2)
-    nv = np.linalg.norm(v, axis=2)
-    denom = nu * nv
-    at_endpoint = denom == 0.0
-    denom = np.where(at_endpoint, 1.0, denom)
-    c = np.clip((u * v).sum(axis=2) / denom, -1.0, 1.0)
-    ang = np.arccos(c)
+    # hypot scales internally, so lengths near the underflow line survive;
+    # normalize before the dot product, whose terms would underflow too.
+    nu = np.hypot(u[..., 0], u[..., 1])
+    nv = np.hypot(v[..., 0], v[..., 1])
+    at_endpoint = (nu == 0.0) | (nv == 0.0)
+    nu[at_endpoint] = nv[at_endpoint] = 1.0
+    c = (u[..., 0] / nu) * (v[..., 0] / nv) + (u[..., 1] / nu) * (v[..., 1] / nv)
+    ang = np.arccos(np.clip(c, -1.0, 1.0))
     ang[at_endpoint] = math.pi
     return ang
 
@@ -284,7 +285,10 @@ def lens_family_common_point(
         raise ValueError("empty edge set")
     if graph.n_vertices != len(points):
         raise ValueError("graph order does not match the point set")
-    P = points.coords
+    # Angles are scale-free: work at a power-of-two scale (exact) that puts
+    # the largest coordinate near 1, so no length under- or overflows.
+    exp = math.frexp(float(np.abs(points.coords).max()))[1]
+    P = np.ldexp(points.coords, -exp)
     e = np.array(graph.edges)
     xs, ys = P[e[:, 0]], P[e[:, 1]]
 
@@ -304,10 +308,9 @@ def lens_family_common_point(
     best = int(np.argmin(vals))
     if vals[best] > tol:
         return None
-    q = cands[best].copy()
-    angles = _edge_angles(q.reshape(1, 2), xs, ys)[0]
+    angles = _edge_angles(cands[best : best + 1], xs, ys)[0]
     return WitnessCertificate(
-        witness=q,
+        witness=np.ldexp(cands[best], exp),
         per_edge_margin=tuple(
             (tuple(edge), float(a - alpha)) for edge, a in zip(graph.edges, angles)
         ),

@@ -9,6 +9,11 @@ input point are handled by scanning all angular gaps for the best
 representative direction.  Closed-form fast paths cover convex position and
 four-point inputs; a brute-force enumeration backstop keeps the solver total
 for at most nine points.
+
+The theorems hold for every point set; general position only simplifies
+their proof.  So the solver works on the caller's points first and certifies
+the result there.  The general-position check, and the perturbation of a
+degenerate input, run only after the first ascent has failed.
 """
 
 from __future__ import annotations
@@ -339,15 +344,67 @@ def _ensure_general_position(
     return perturb(points, delta, seed, config.tol), True
 
 
+def _search(
+    work: PointSet, seed: int, config: SolverConfig, ks: range, iterations: int
+) -> tuple[Optional[SolverState], int, int]:
+    """Ascend from the starts numbered ``ks`` and polish the first one that
+    reaches zero violations.
+
+    Start 0 is the centroid, the others are seeded uniform points of the
+    bounding box.  Returns the polished state (None if every start stalled),
+    the iteration total including ``iterations`` carried in, and the index of
+    the last start tried."""
+    rng = np.random.default_rng(seed)
+    lo, hi = work.bounding_box()
+    starts = [work.centroid()] + [rng.uniform(lo, hi) for _ in range(config.restarts)]
+    for k in ks:
+        state = _initial_state(work, starts[k], np.random.default_rng((seed, k)), config)
+        if state is None:
+            continue
+        state, ok = _ascend(state, work, config)
+        if not ok:
+            iterations += state.iterations
+            continue
+        final = _polish(state, work, config)
+        return final, iterations + final.iterations, k
+    return None, iterations, ks.stop - 1
+
+
+def _cycle_result(
+    work: PointSet,
+    graph: GeoGraph,
+    witness: np.ndarray,
+    mode: SolveMode,
+    seed: int,
+    config: SolverConfig,
+    **counts,
+) -> SolveResult:
+    """Result for a cycle on ``work``, verified by _check_result."""
+    result = SolveResult(
+        graph=graph,
+        witness=witness,
+        certificate=_certificate_angles(work, graph, witness),
+        mode=mode,
+        points=work,
+        seed=seed,
+        **counts,
+    )
+    _check_result(result, config.tol)
+    return result
+
+
 def solve_odd(
     points: PointSet, seed: int = 0, config: Optional[SolverConfig] = None
 ) -> SolveResult:
     """Hamiltonian cycle on an odd planar set whose edge disks share a point.
 
-    Pipeline: perturb degenerate input, ascend from the centroid, restart
-    from seeded random points on stalls, and fall back to exhaustive
-    enumeration for at most nine points.  The returned witness is verified
-    against every edge disk before returning.
+    Pipeline: ascend once from the centroid on the input itself and return
+    the cycle if its witness is certified there.  Only when that ascent
+    stalls, meets a degeneracy or fails certification is general position
+    checked: a degenerate input is perturbed (escalating radius), and the
+    remaining seeded restarts run on the input or its perturbed copy.
+    Exhaustive enumeration backs up at most nine points.  The returned
+    witness is verified against every edge disk before returning.
     """
     config = config or SolverConfig()
     m = len(points)
@@ -356,61 +413,35 @@ def solve_odd(
     if m < 3 or m % 2 == 0:
         raise ValueError("solve_odd needs an odd number of points, at least 3")
 
-    work, perturbed = _ensure_general_position(points, seed, config)
-    rng = np.random.default_rng(seed)
-    lo, hi = work.bounding_box()
-    starts = [work.centroid()] + [rng.uniform(lo, hi) for _ in range(config.restarts)]
-
-    iterations = 0
-    final: Optional[SolverState] = None
-    restarts_used = 0
-    for k, start in enumerate(starts):
-        state = _initial_state(work, start, np.random.default_rng((seed, k)), config)
-        if state is None:
-            continue
-        state, ok = _ascend(state, work, config)
-        if not ok:
-            iterations += state.iterations
-            continue
-        final = _polish(state, work, config)
-        iterations += final.iterations
-        restarts_used = k
-        break
-
+    final, iterations, _ = _search(points, seed, config, range(1), 0)
     if final is not None:
-        graph = final.plan.cycle
-        witness = final.p
-        result = SolveResult(
-            graph=graph,
-            witness=witness,
-            certificate=_certificate_angles(work, graph, witness),
-            mode=SolveMode.ODD_CYCLE,
-            points=work,
-            iterations=iterations,
-            restarts=restarts_used,
-            perturbed=perturbed,
-            seed=seed,
+        try:
+            return _cycle_result(
+                points, final.plan.cycle, final.p, SolveMode.ODD_CYCLE, seed, config,
+                iterations=iterations,
+            )
+        except SearchFailedError:
+            pass
+
+    # The centroid start failed on the input: a generic input keeps it and
+    # goes on with the next start, a degenerate one is perturbed first.
+    work, perturbed = _ensure_general_position(points, seed, config)
+    ks = range(0 if perturbed else 1, config.restarts + 1)
+    final, iterations, k = _search(work, seed, config, ks, iterations)
+    if final is not None:
+        return _cycle_result(
+            work, final.plan.cycle, final.p, SolveMode.ODD_CYCLE, seed, config,
+            iterations=iterations, restarts=k, perturbed=perturbed,
         )
-        _check_result(result, config.tol)
-        return result
 
     if m <= 9:
         report = enumerate_hamiltonian(work, "cycles", config.tol)
         if report.tverberg_cycles:
             graph, cert = report.tverberg_cycles[0]
-            result = SolveResult(
-                graph=graph,
-                witness=cert.witness,
-                certificate=_certificate_angles(work, graph, cert.witness),
-                mode=SolveMode.BRUTE_FORCE_FALLBACK,
-                points=work,
-                iterations=iterations,
-                restarts=config.restarts,
-                perturbed=perturbed,
-                seed=seed,
+            return _cycle_result(
+                work, graph, cert.witness, SolveMode.BRUTE_FORCE_FALLBACK, seed, config,
+                iterations=iterations, restarts=config.restarts, perturbed=perturbed,
             )
-            _check_result(result, config.tol)
-            return result
     raise SearchFailedError(
         f"no certified cycle found after {config.restarts} restarts "
         f"(existence is guaranteed; this indicates a numerical problem)"
@@ -433,9 +464,11 @@ def solve_even_path(
 ) -> SolveResult:
     """Hamiltonian path on an even planar set whose edge disks share a point.
 
-    Appends an auxiliary point near the centroid, solves the odd problem on
-    the extended set, and removes the auxiliary point with its two edges;
-    the cycle's witness stays valid because the disk family only shrinks.
+    Appends an auxiliary point at the centroid (jittered only if it is a
+    point of the input), solves the odd problem on the extended set, and
+    removes the auxiliary point with its two edges; the cycle's witness stays
+    valid because the disk family only shrinks.  Degeneracies of the extended
+    set are left to solve_odd, which perturbs only after a failed ascent.
     """
     config = config or SolverConfig()
     m = len(points)
@@ -445,21 +478,13 @@ def solve_even_path(
         raise ValueError("solve_even_path needs an even number of points, at least 2")
 
     rng = np.random.default_rng(seed)
-    scale = max(points.diameter(), 1.0)
     aux = points.centroid()
-    extended = None
-    for k in range(64):
-        cand = np.vstack([points.coords, aux])
-        if np.unique(cand, axis=0).shape[0] == m + 1:
-            candidate = PointSet(cand)
-            if check_general_position(candidate, config.tol).ok():
-                extended = candidate
-                break
-            if k == 0:
-                extended = candidate  # keep as fallback, solve_odd will perturb
-        aux = points.centroid() + rng.normal(scale=min(1e-5 * 2.0**k, 0.05) * scale, size=2)
-    if extended is None:
-        extended = PointSet(np.vstack([points.coords, aux]))
+    k = 0
+    while points.index_of(aux) is not None:
+        spread = min(1e-5 * 2.0**k, 0.05) * max(points.diameter(), 1.0)
+        aux = points.centroid() + rng.normal(scale=spread, size=2)
+        k += 1
+    extended = PointSet(np.vstack([points.coords, aux]))
 
     cycle_result = solve_odd(extended, seed, config)
     aux_index = m

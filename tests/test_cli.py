@@ -33,6 +33,16 @@ class TestSolve:
             "certificate", "margins", "stats",
         ]
 
+    def test_perturbation_reported(self, tmp_path, capsys):
+        path = write(tmp_path, "pent.txt", PENTAGON_TXT)
+        assert cli_main(["solve", path]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert not stats["perturbed"] and stats["perturbation"] == 0.0
+        path = write(tmp_path, "line.txt", "".join(f"{k} 0\n" for k in range(5)))
+        assert cli_main(["solve", path]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["perturbed"] and 0.0 < stats["perturbation"] < 1e-3
+
     def test_solve_then_verify_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "pts.txt", format_points(generate("uniform", 6, seed=8)))
         assert cli_main(["solve", path, "--seed", "3"]) == 0

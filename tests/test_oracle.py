@@ -12,6 +12,7 @@ import tverberg
 from tverberg.cycles import GeoGraph, geo_graph
 from tverberg.geometry import Ball, in_diametral_ball, point_set
 from tverberg.oracle import (
+    _edge_angles,
     _hamiltonian_sequences,
     disks_common_point,
     enumerate_hamiltonian,
@@ -161,6 +162,21 @@ class TestLensFamily:
         cert = lens_family_common_point(SQUARE, cycle_graph(4, (0, 1, 2, 3)), math.pi / 2)
         assert cert is not None
         assert np.allclose(cert.witness, (0.5, 0.5), atol=1e-5)
+
+    def test_square_verdicts_scale_free(self):
+        # At 1e-170, |u|*|v| underflows to 0; read as "q is an endpoint", it
+        # would cover every edge.
+        for scale in (1.0, 1e-150, 1e-170):
+            S = point_set(SQUARE.coords * scale)
+            for seq in _hamiltonian_sequences(4, "cycles"):
+                cycle = cycle_graph(4, seq)
+                assert lens_family_common_point(S, cycle, math.pi / 2 + 0.01) is None
+                cert = lens_family_common_point(S, cycle, math.pi / 2)
+                assert cert is not None
+                assert np.allclose(cert.witness / scale, (0.5, 0.5), atol=1e-5)
+            q, x, y = np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]]) * scale
+            angle = _edge_angles(q[None], x[None], y[None])[0, 0]
+            assert angle == pytest.approx(math.pi / 2)
 
     def test_convex_heptagon_two_thirds_present(self):
         from tverberg.solver import convex_position_cycle

@@ -181,12 +181,41 @@ class TestSolveOdd:
         with pytest.raises(ValueError):
             solve_odd(point_set([(0, 0), (1, 0), (0, 1), (1, 1)]), seed=0)
 
-    def test_perturbs_degenerate_input(self):
+    def test_certifies_degenerate_input_unperturbed(self):
         S = point_set([(0, 0), (1, 0), (2, 0), (0.5, 1), (1.5, 1)])  # collinear triple
         result = solve_odd(S, seed=0)
+        assert not result.perturbed
+        assert np.array_equal(result.points.coords, S.coords)
+        assert witness_in_all_disks(S, result.graph, result.witness)
+
+    def test_perturbs_collinear_input(self):
+        S = point_set([(k, 0) for k in range(5)])
+        result = solve_odd(S, seed=0)
         assert result.perturbed
-        assert witness_in_all_disks(result.points, result.graph, result.witness)
-        assert np.linalg.norm(result.points.coords - S.coords, axis=1).max() < 1e-3
+        moved = np.linalg.norm(result.points.coords - S.coords, axis=1).max()
+        assert moved < 1e-3 * max(S.diameter(), 1.0)
+        assert is_tverberg_graph(result.points, result.graph) is not None
+        report = enumerate_hamiltonian(result.points, "cycles")
+        assert report.contains_edge_set(result.graph)
+
+    def test_failed_certification_moves_to_next_start(self, monkeypatch):
+        import tverberg.solver as solver
+
+        checked = []
+
+        def fail_first(result, tol):
+            checked.append(result)
+            if len(checked) == 1:
+                raise solver.SearchFailedError("forced")
+            real_check(result, tol)
+
+        real_check = solver._check_result
+        monkeypatch.setattr(solver, "_check_result", fail_first)
+        S = generate("uniform", 7, seed=3)
+        result = solve_odd(S, seed=0)
+        assert len(checked) == 2
+        assert result.restarts >= 1 and not result.perturbed
+        assert witness_in_all_disks(S, result.graph, result.witness)
 
     def test_deterministic(self):
         S = generate("uniform", 9, seed=77)
@@ -204,6 +233,47 @@ class TestSolveOdd:
                 c = (P[a] + P[b]) / 2
                 r = np.linalg.norm(P[b] - P[a]) / 2
                 assert r - np.linalg.norm(result.witness - c) >= -1e-9
+
+
+class TestGeneralPositionOffSolvePath:
+    def test_large_generic_inputs_skip_the_check(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("general-position pass on the solve path")
+
+        monkeypatch.setattr("tverberg.solver.check_general_position", forbidden)
+        monkeypatch.setattr("tverberg.solver.perturb", forbidden)
+        for m in (1001, 1000):
+            S = point_set(np.random.default_rng(m).uniform(size=(m, 2)))
+            result = solve(S, seed=0)
+            assert not result.perturbed
+            assert np.array_equal(result.points.coords, S.coords)
+            assert witness_in_all_disks(S, result.graph, result.witness)
+
+
+class TestScaleRegression:
+    """Small scales once made the absolute tolerance read generic sets as
+    degenerate, and the perturbation then moved points by more than the
+    set's size.  Graphs are checked on the similarity-equivalent unit-scale
+    copy."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_small_scale_solved_on_input(self, seed, scale):
+        S = generate("uniform", 9, seed=seed)
+        result = solve(point_set(S.coords * scale), seed=0)
+        assert not result.perturbed
+        assert is_tverberg_graph(S, result.graph) is not None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="absolute coincidence and perturbation radii (ROADMAP item 4, "
+        "scale-free numerics): points move by about 9e-6 at this scale",
+    )
+    def test_tiny_scale_solved_on_input(self):
+        S = generate("uniform", 9, seed=6)
+        result = solve(point_set(S.coords * 1e-9), seed=0)
+        assert not result.perturbed
+        assert is_tverberg_graph(S, result.graph) is not None
 
 
 class TestSolveEvenPath:
@@ -253,6 +323,13 @@ class TestSolveEvenPath:
 
         cert = matching_common_point(g, geo_graph(6, matching))
         assert cert is not None
+
+    def test_centroid_on_input_point(self):
+        # The auxiliary point would coincide with S[0], so it is jittered.
+        S = point_set([(0, 0), (1, 2), (3, 1), (-4, -3), (2, -1), (-2, 1)])
+        result = solve_even_path(S, seed=3)
+        assert not result.perturbed
+        assert is_tverberg_graph(S, result.graph) is not None
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
