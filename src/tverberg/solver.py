@@ -70,6 +70,10 @@ class SearchFailedError(InternalError):
 
 
 class SolveMode(Enum):
+    """How a result was found.  ``solve`` returns ODD_CYCLE, EVEN_PATH or
+    BRUTE_FORCE_FALLBACK; CONVEX_FAST and FOUR_POINT come only from direct
+    calls of ``convex_position_cycle`` and ``four_point_cycle``."""
+
     ODD_CYCLE = "odd_cycle"
     EVEN_PATH = "even_path"
     CONVEX_FAST = "convex_fast"

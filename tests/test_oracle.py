@@ -4,14 +4,18 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tverberg
+from tverberg.cli import cli_main
 from tverberg.cycles import GeoGraph, geo_graph
-from tverberg.geometry import Ball, in_diametral_ball, point_set
+from tverberg.geometry import Ball, ball_depths, edge_balls, in_diametral_ball, point_set
 from tverberg.oracle import (
+    _candidate_minimax,
+    _disk_minimax,
     _edge_angles,
     _hamiltonian_sequences,
     disks_common_point,
@@ -20,7 +24,8 @@ from tverberg.oracle import (
     lens_family_common_point,
     matching_common_point,
 )
-from tverberg.pointio import generate
+from tverberg.pointio import format_points, generate
+from tverberg.solver import solve
 
 SQUARE = point_set([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -87,6 +92,88 @@ class TestDisksCommonPoint:
                 assert witness_val <= grid_best + 1e-6
 
 
+def _points(kind, g, m):
+    if kind == "uniform":
+        return g.uniform(size=(m, 2))
+    if kind == "gaussian":
+        return g.standard_normal(size=(m, 2))
+    if kind == "clustered":
+        hubs = g.uniform(-1.0, 1.0, size=(3, 2))
+        return hubs[g.integers(0, 3, size=m)] + 0.05 * g.standard_normal(size=(m, 2))
+    t = g.uniform(0.0, 2.0 * math.pi, size=m)
+    return np.stack([2.0 * np.cos(t), np.sin(t)], axis=1)  # convex
+
+
+def _star_edges(P):
+    # Each point joined to the two halfway around the radial order about the
+    # centroid, as solve's cycles are.
+    m = len(P)
+    d = P - P.mean(axis=0)
+    order = np.argsort(np.arctan2(d[:, 1], d[:, 0]))
+    return [(order[i], order[(i + (m - 1) // 2) % m]) for i in range(m)]
+
+
+def _tight_families(E, scale, g):
+    """Families whose every ball is tight (or within 1e-12 of it) at the
+    deepest point."""
+    t = np.sort(g.uniform(0.0, 2.0 * math.pi, size=E))
+    ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+    through = ring * g.uniform(0.5, 2.0, size=E)[:, None]
+    jitter = 1.0 + 1e-12 * g.standard_normal(size=E)
+    return [
+        (ring * scale, np.full(E, scale)),  # equal disks centred on a circle
+        (through * scale, np.linalg.norm(through, axis=1) * scale),  # through 0
+        (ring * scale, scale * jitter),
+    ]
+
+
+class TestDiskMinimaxActiveSet:
+    """The active-set decision against the full candidate scan."""
+
+    @staticmethod
+    def _agree(centers, radii, tol=1e-9):
+        q, val = _disk_minimax(centers, radii)
+        q_full, val_full = _candidate_minimax(centers, radii)
+        bound = 1e-12 * max(1.0, float(np.abs(centers).max()))
+        assert (val <= tol) == (val_full <= tol)
+        assert abs(val - val_full) <= bound
+        assert np.abs(q - q_full).max() <= bound
+        # The value is the family's own maximum at the returned point.
+        assert val == pytest.approx(-ball_depths(centers, radii, q).min(), abs=bound)
+
+    def test_matches_full_scan_on_random_families(self):
+        # The kinds rotate over E: the full scan is O(E^4) per family.
+        kinds = ("uniform", "gaussian", "clustered", "convex")
+        for E in range(1, 61):
+            g = np.random.default_rng(7000 + E)
+            m = max(3, math.ceil(math.sqrt(2 * E)) + 1)
+            P = _points(kinds[E % 4], g, m)
+            pairs = list(itertools.combinations(range(m), 2))
+            picks = g.choice(len(pairs), size=E, replace=False)
+            self._agree(*edge_balls(P, [pairs[k] for k in picks]))
+            if E >= 3 and E % 2 == 1:
+                P = _points(kinds[(E // 2) % 4], g, E)
+                self._agree(*edge_balls(P, _star_edges(P)))
+
+    def test_matches_full_scan_on_special_families(self):
+        g = np.random.default_rng(71)
+        self._agree(np.array([[0.3, -2.0]]), np.array([0.7]))
+        self._agree(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 0.2]))
+        self._agree(np.array([[0.0, 0.0], [5.0, 0.0]]), np.array([1.0, 1.0]))
+        c, r = g.uniform(size=(6, 2)), g.uniform(0.3, 0.6, size=6)
+        self._agree(np.concatenate([c, c, c[:2]]), np.concatenate([r, r, r[:2]]))
+        self._agree(np.tile([[0.2, 0.4]], (5, 1)), np.full(5, 0.5))
+        line = np.stack([np.linspace(-1.0, 1.0, 9), 0.5 * np.linspace(-1.0, 1.0, 9)], axis=1)
+        self._agree(line, g.uniform(0.1, 1.5, size=9))
+        for E in (3, 8, 25):
+            for scale in (1e-6, 1.0, 1e6):
+                for centers, radii in _tight_families(E, scale, g):
+                    self._agree(centers, radii)
+        for decide in (_disk_minimax, _candidate_minimax):
+            with pytest.raises(ValueError):
+                decide(np.empty((0, 2)), np.empty(0))
+
+
 class TestIsTverbergGraph:
     def test_triangle_present(self):
         S = point_set([(0, 0), (2.1, 0), (0.9, 1.7)])
@@ -101,6 +188,26 @@ class TestIsTverbergGraph:
         assert cert is not None
         assert np.allclose(cert.witness, (0.5, 0.5), atol=1e-9)
         assert cert.min_margin() == pytest.approx(0.0, abs=1e-12)
+
+    def test_solved_thousand_point_cycle(self, tmp_path):
+        # The full candidate scan needed every triple of the 1001 balls
+        # (gigabytes); the active set keeps the call small.
+        S = point_set(np.random.default_rng(1001).uniform(size=(1001, 2)))
+        graph = solve(S, seed=0).graph
+        tracemalloc.start()
+        try:
+            cert = is_tverberg_graph(S, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert is not None
+        centers, radii = edge_balls(S.coords, graph.edges)
+        assert ball_depths(centers, radii, cert.witness).min() >= -1e-9
+        assert peak < 32 * 2**20
+        path = tmp_path / "pts.txt"
+        path.write_text(format_points(S))
+        edges = ",".join(f"{a}-{b}" for a, b in graph.edges)
+        assert cli_main(["verify", str(path), "--edges", edges]) == 0
 
     def test_empty_edges_rejected(self):
         with pytest.raises(ValueError):
