@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: solve, verify, enumerate, partition, lens-check, gen, render,
-check-gp, bench.  Exit codes: 0 success, 1 negative verification, 2 usage
+check-gp.  Exit codes: 0 success, 1 negative verification, 2 usage
 errors, 3 internal errors (a solver or oracle step the package guarantees
 failed).  Result documents are JSON with a fixed key order.
 """
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -252,30 +250,6 @@ def _cmd_check_gp(args) -> int:
     return 0 if report.ok() else 1
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    print(f"{'size':>5} {'trials':>6} {'ok':>4} {'mean_ms':>9} {'max_ms':>9} "
-          f"{'mean_iters':>10} {'mean_restarts':>13}")
-    for size in sizes:
-        times = []
-        iters = []
-        restarts = []
-        ok = 0
-        for t in range(args.trials):
-            points = generate("uniform", size, seed=args.seed + 1000 * t + size)
-            t0 = time.perf_counter()
-            result = solve(points, seed=args.seed + t)
-            times.append((time.perf_counter() - t0) * 1000.0)
-            iters.append(result.iterations)
-            restarts.append(result.restarts)
-            ok += 1
-        print(
-            f"{size:>5} {args.trials:>6} {ok:>4} {np.mean(times):>9.2f} "
-            f"{np.max(times):>9.2f} {np.mean(iters):>10.1f} {np.mean(restarts):>13.2f}"
-        )
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tverberg",
@@ -345,12 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     add_tol(p)
     p.set_defaults(func=_cmd_check_gp)
-
-    p = sub.add_parser("bench", help="time the solver over generated batches")
-    p.add_argument("--sizes", default="5,7,9")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

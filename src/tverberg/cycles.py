@@ -153,7 +153,8 @@ def radial_order(
 
     ``rep_dir`` is required exactly when the center coincides with a point of
     S; the synthetic projection then occupies the last slot.  Angular ties
-    raise RadialDegeneracyError (callers perturb instead of tie-breaking).
+    raise RadialDegeneracyError (callers move the center instead of
+    tie-breaking).
     """
     if points.dim != 2:
         raise ValueError("radial orders require planar input")

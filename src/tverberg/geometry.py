@@ -397,14 +397,17 @@ def check_general_position(points: PointSet, tol: float = DEFAULT_TOL) -> Genera
     return report
 
 
-def _ball_jitter(rng: np.random.Generator, d: int, delta: float) -> np.ndarray:
-    """Uniform sample from the closed d-ball of radius delta."""
-    v = rng.normal(size=d)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        return np.zeros(d)
-    r = delta * rng.uniform() ** (1.0 / d)
-    return (r / n) * v
+def jitter(coords: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
+    """``coords`` with every row moved by a uniform sample from the closed
+    ball of radius delta, drawn point by point from ``rng``."""
+    m, d = coords.shape
+    moves = np.zeros((m, d))
+    for i in range(m):
+        v = rng.normal(size=d)
+        n = np.linalg.norm(v)
+        if n > 0.0:
+            moves[i] = (delta * rng.uniform() ** (1.0 / d) / n) * v
+    return coords + moves
 
 
 def perturb(
@@ -423,10 +426,10 @@ def perturb(
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
-    m, d = points.coords.shape
+    m = len(points)
     last = None
     for _ in range(max_attempts):
-        moved = points.coords + np.array([_ball_jitter(rng, d, delta) for _ in range(m)])
+        moved = jitter(points.coords, delta, rng)
         if np.unique(moved, axis=0).shape[0] != m:
             continue
         candidate = PointSet(moved)

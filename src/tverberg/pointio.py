@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import PointSet, check_general_position, perturb
+from .geometry import PointSet
 
 _DIM_RE = re.compile(r"#\s*d\s*=\s*(\d+)\s*$")
 
@@ -90,8 +90,8 @@ def generate(
 
     uniform: i.i.d. in the box.  convex: strictly convex position on a
     jittered circle, affinely mapped to the box.  grid_perturbed: jittered
-    grid cells.  All kinds come out in general position (a built-in
-    perturbation fixes stragglers).
+    grid cells.  Every kind is in general position with probability 1; this
+    is not checked (``check_general_position`` does it on request).
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
@@ -120,14 +120,7 @@ def generate(
             ]
         )
 
-    candidate = PointSet(pts)
-    if check_general_position(candidate).ok():
-        return candidate
-    diag = math.hypot(x1 - x0, y1 - y0)
-    fixed = perturb(candidate, 1e-6 * diag, seed + 0x9E3779B9)
-    if kind == "convex" and not _strictly_convex(fixed.coords):
-        raise RuntimeError("perturbation broke convex position; try another seed")
-    return fixed
+    return PointSet(pts)
 
 
 def _strictly_convex(P: np.ndarray) -> bool:
@@ -144,6 +137,9 @@ def _strictly_convex(P: np.ndarray) -> bool:
 
 
 def _convex_points(m: int, rng: np.random.Generator, bbox) -> np.ndarray:
+    """Rejection-sample a jittered circle; after 64 rejections, fall back to
+    the unit circle at stratified angles 2*pi*(k + u_k)/m with u_k in
+    [0, 1/2), whose gaps are at least pi/m by construction."""
     x0, y0, x1, y1 = bbox
     for _ in range(64):
         angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=m))
@@ -152,12 +148,13 @@ def _convex_points(m: int, rng: np.random.Generator, bbox) -> np.ndarray:
             continue
         radii = 1.0 + 0.08 * rng.uniform(-1.0, 1.0, size=m)
         pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-        if not _strictly_convex(pts):
-            continue
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = np.where(hi - lo > 0, hi - lo, 1.0)
-        pts = (pts - lo) / span
-        pts = pts * (x1 - x0, y1 - y0) + (x0, y0)
-        return pts
-    raise RuntimeError("failed to sample a strictly convex configuration")
+        if _strictly_convex(pts):
+            break
+    else:
+        angles = 2.0 * math.pi * (np.arange(m) + 0.5 * rng.uniform(size=m)) / m
+        pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = np.where(hi - lo > 0, hi - lo, 1.0)
+    pts = (pts - lo) / span
+    return pts * (x1 - x0, y1 - y0) + (x0, y0)

@@ -11,9 +11,10 @@ four-point inputs; a brute-force enumeration backstop keeps the solver total
 for at most nine points.
 
 The theorems hold for every point set; general position only simplifies
-their proof.  So the solver works on the caller's points first and certifies
-the result there.  The general-position check, and the perturbation of a
-degenerate input, run only after the first ascent has failed.
+their proof.  So the solver never checks it: it works on the caller's points
+and certifies the result there.  Only after the first ascent fails does it
+search a copy moved by one seeded jitter, and it re-certifies the graph found
+there on the caller's points before falling back to the moved copy.
 """
 
 from __future__ import annotations
@@ -41,19 +42,17 @@ from .geometry import (
     DEFAULT_TOL,
     RIGHT_ANGLE,
     InternalError,
-    PerturbationError,
     PointSet,
     angle_at,
     ball_depths,
-    check_general_position,
     diametral_ball,
     edge_balls,
-    perturb,
+    jitter,
 )
 from .oracle import (
-    WitnessCertificate,
     disks_common_point,
     enumerate_hamiltonian,
+    is_tverberg_graph,
 )
 
 
@@ -81,19 +80,26 @@ class SolveMode(Enum):
     BRUTE_FORCE_FALLBACK = "brute_force_fallback"
 
 
+# Line searches stop below this step length.
+MIN_STEP = 1e-14
+# A center this close to a point of S is snapped onto it.
+COINCIDENCE_RADIUS = 1e-7
+# After reaching zero violations, keep pushing until every checked angle
+# clears pi/2 by this much, so distance margins come out clean.
+POLISH_MARGIN = 1e-6
+POLISH_ITERS = 200
+# The fallback's jitter radius, relative to max(diameter, 1).
+JITTER_RADIUS = 1e-6
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """Tolerance, ascent budget and restart count; ``on_state(state,
+    points)`` is called with every accepted ascent state."""
+
     tol: float = DEFAULT_TOL
     max_iters: int = 10_000
     restarts: int = 32
-    initial_step: Optional[float] = None
-    min_step: float = 1e-14
-    coincidence_radius: float = 1e-7
-    perturb_delta: Optional[float] = None
-    # After reaching zero violations, keep pushing until every checked angle
-    # clears pi/2 by this much, so distance margins come out clean.
-    polish_margin: float = 1e-6
-    polish_iters: int = 200
     on_state: Optional[Callable] = None
 
 
@@ -185,7 +191,7 @@ def _evaluate(
     """Plan/profile at p, snapping to a point of S within the coincidence radius."""
     d = np.linalg.norm(points.coords - p, axis=1)
     i = int(np.argmin(d))
-    if d[i] <= config.coincidence_radius:
+    if d[i] <= COINCIDENCE_RADIUS:
         rep, plan, profile = _scan_representatives(points, i, config.tol)
         return plan, profile, rep, points.point(i)
     plan = type1_cycle(points, p, config.tol)
@@ -212,9 +218,9 @@ def ascent_step(state: SolverState, points: PointSet, config: SolverConfig) -> S
         direction = common.midpoint_dir()
 
     cap = _step_cap(points)
-    t = min(max(state.step, config.min_step), cap)
+    t = min(max(state.step, MIN_STEP), cap)
     base = state.profile.objective()
-    while t >= config.min_step:
+    while t >= MIN_STEP:
         candidate = state.p + t * direction
         try:
             plan, profile, rep, snapped = _evaluate(points, candidate, config)
@@ -237,9 +243,9 @@ def ascent_step(state: SolverState, points: PointSet, config: SolverConfig) -> S
 def _initial_state(
     points: PointSet, start: np.ndarray, rng: np.random.Generator, config: SolverConfig
 ) -> Optional[SolverState]:
-    step0 = config.initial_step or _step_cap(points) / 8.0
-    p = np.array(start, dtype=float)
     scale = _step_cap(points)
+    step0 = scale / 8.0
+    p = np.array(start, dtype=float)
     for _ in range(16):
         try:
             plan, profile, rep, snapped = _evaluate(points, p, config)
@@ -268,16 +274,16 @@ def _ascend(
 
 
 def _polish(state: SolverState, points: PointSet, config: SolverConfig) -> SolverState:
-    """Raise every checked angle above pi/2 + polish_margin when possible.
+    """Raise every checked angle above pi/2 + POLISH_MARGIN when possible.
 
     Only applies to centers off S; a witness on S keeps its exact-boundary
     incident disks, which the closed-ball convention accepts."""
-    if state.rep_dir is not None or config.polish_margin <= 0.0:
+    if state.rep_dir is not None:
         return state
-    bar = RIGHT_ANGLE + config.polish_margin
+    bar = RIGHT_ANGLE + POLISH_MARGIN
     cap = _step_cap(points)
-    t = min(max(state.step, config.min_step), cap)
-    for _ in range(config.polish_iters):
+    t = min(max(state.step, MIN_STEP), cap)
+    for _ in range(POLISH_ITERS):
         pseudo = violation_profile(state.plan, config.tol, threshold=bar)
         if pseudo.ell == 0:
             break
@@ -286,7 +292,7 @@ def _polish(state: SolverState, points: PointSet, config: SolverConfig) -> Solve
             break
         direction = common.midpoint_dir()
         accepted = None
-        while t >= config.min_step:
+        while t >= MIN_STEP:
             candidate = state.p + t * direction
             try:
                 plan, profile, rep, snapped = _evaluate(points, candidate, config)
@@ -327,25 +333,6 @@ def _certificate_angles(
             ang = angle_at(witness, pa, pb)
         out.append(((a, b), ang))
     return tuple(out)
-
-
-def _ensure_general_position(
-    points: PointSet, seed: int, config: SolverConfig
-) -> tuple[PointSet, bool]:
-    """Perturb degenerate inputs, escalating the radius when needed.
-
-    Highly symmetric inputs can sit at critical points of a degeneracy
-    measure, where a jitter of size delta only moves the residual by
-    delta squared; growing delta keeps the move minimal but sufficient."""
-    if check_general_position(points, config.tol).ok():
-        return points, False
-    delta = config.perturb_delta or 1e-6 * max(points.diameter(), 1.0)
-    for _ in range(3):
-        try:
-            return perturb(points, delta, seed, config.tol), True
-        except PerturbationError:
-            delta *= 10.0
-    return perturb(points, delta, seed, config.tol), True
 
 
 def _search(
@@ -403,12 +390,16 @@ def solve_odd(
     """Hamiltonian cycle on an odd planar set whose edge disks share a point.
 
     Pipeline: ascend once from the centroid on the input itself and return
-    the cycle if its witness is certified there.  Only when that ascent
-    stalls, meets a degeneracy or fails certification is general position
-    checked: a degenerate input is perturbed (escalating radius), and the
-    remaining seeded restarts run on the input or its perturbed copy.
-    Exhaustive enumeration backs up at most nine points.  The returned
-    witness is verified against every edge disk before returning.
+    the cycle if its witness is certified there.  When that ascent stalls,
+    meets a degeneracy or fails certification, the input is moved by one
+    seeded jitter of radius JITTER_RADIUS * max(diameter, 1), with no
+    general-position check, and starts 0..restarts run on the moved copy.
+    The cycle found there is re-certified on the input with
+    ``is_tverberg_graph`` and returned unperturbed with that witness; only
+    if the input's family is empty is the moved copy's result returned,
+    marked perturbed.  Fallback start k reports ``restarts = k + 1``.
+    Exhaustive enumeration of the input itself backs up at most nine
+    points.  The returned witness is verified against every edge disk.
     """
     config = config or SolverConfig()
     m = len(points)
@@ -427,24 +418,29 @@ def solve_odd(
         except SearchFailedError:
             pass
 
-    # The centroid start failed on the input: a generic input keeps it and
-    # goes on with the next start, a degenerate one is perturbed first.
-    work, perturbed = _ensure_general_position(points, seed, config)
-    ks = range(0 if perturbed else 1, config.restarts + 1)
-    final, iterations, k = _search(work, seed, config, ks, iterations)
+    delta = JITTER_RADIUS * max(points.diameter(), 1.0)
+    work = PointSet(jitter(points.coords, delta, np.random.default_rng(seed)))
+    final, iterations, k = _search(work, seed, config, range(config.restarts + 1), iterations)
     if final is not None:
+        graph = final.plan.cycle
+        cert = is_tverberg_graph(points, graph, config.tol)
+        if cert is not None:
+            return _cycle_result(
+                points, graph, cert.witness, SolveMode.ODD_CYCLE, seed, config,
+                iterations=iterations, restarts=k + 1,
+            )
         return _cycle_result(
-            work, final.plan.cycle, final.p, SolveMode.ODD_CYCLE, seed, config,
-            iterations=iterations, restarts=k, perturbed=perturbed,
+            work, graph, final.p, SolveMode.ODD_CYCLE, seed, config,
+            iterations=iterations, restarts=k + 1, perturbed=True,
         )
 
     if m <= 9:
-        report = enumerate_hamiltonian(work, "cycles", config.tol)
+        report = enumerate_hamiltonian(points, "cycles", config.tol)
         if report.tverberg_cycles:
             graph, cert = report.tverberg_cycles[0]
             return _cycle_result(
-                work, graph, cert.witness, SolveMode.BRUTE_FORCE_FALLBACK, seed, config,
-                iterations=iterations, restarts=config.restarts, perturbed=perturbed,
+                points, graph, cert.witness, SolveMode.BRUTE_FORCE_FALLBACK, seed, config,
+                iterations=iterations, restarts=config.restarts + 1,
             )
     raise SearchFailedError(
         f"no certified cycle found after {config.restarts} restarts "
@@ -472,7 +468,7 @@ def solve_even_path(
     point of the input), solves the odd problem on the extended set, and
     removes the auxiliary point with its two edges; the cycle's witness stays
     valid because the disk family only shrinks.  Degeneracies of the extended
-    set are left to solve_odd, which perturbs only after a failed ascent.
+    set are left to solve_odd, which jitters only after a failed ascent.
     """
     config = config or SolverConfig()
     m = len(points)
